@@ -3,10 +3,9 @@
 Compares a freshly measured benchmark report (usually a ``--smoke`` run
 produced in CI) against the speedup floors stored in the committed
 ``BENCH_hot_paths.json`` (its ``targets`` section).  Exits non-zero when any
-measured speedup is below its floor, when the cached/uncached proof
-equivalence broke, or — if the fresh report carries the wire/service
-workloads — when worker-pool answers stopped being byte-identical to
-in-process answers.
+measured speedup is below its floor, or when the cached/uncached proof
+equivalence broke.  ``--wire``, ``--schemes`` and ``--scale`` gate the
+other benchmark reports instead (see each checker's docstring).
 
 Usage::
 
@@ -80,27 +79,20 @@ def _check_wire(floors: dict, fresh: dict, failures: list) -> None:
     """Gates on the wire/service workloads (run with ``--wire``).
 
     Absolute requests/sec depend on the runner, so the CI gate leans on the
-    machine-independent invariants: pooled answers byte-identical, decode at
-    least as fast as a conservative fraction of encode (the seed's decoder
-    ran at ~0.36x of encode; the zero-copy cursor must stay at or above
-    0.55x even on a noisy runner), the freshness-attestation check costing
-    at most 15% of verified throughput (one *memoized* signature verify plus
-    the attestation's wire bytes per answer), and the replica group retaining at
-    least half its healthy verified request rate through an abrupt
-    single-replica kill — with zero unverified answers accepted.  One
-    deliberately *very* conservative absolute floor backs them up:
+    machine-independent invariants: decode at least as fast as a
+    conservative fraction of encode (the seed's decoder ran at ~0.36x of
+    encode; the zero-copy cursor must stay at or above 0.55x even on a noisy
+    runner), the freshness-attestation check costing at most 15% of verified
+    throughput (one *memoized* signature verify plus the attestation's wire
+    bytes per answer), and the replica group retaining at least half its
+    healthy verified request rate through an abrupt single-replica kill —
+    with zero unverified answers accepted.  One deliberately *very*
+    conservative absolute floor backs them up:
     ``wire_verified_requests_per_sec_min`` catches order-of-magnitude
     collapses of the verified serving path without being sensitive to
     runner speed.
     """
     workloads = fresh.get("workloads", {})
-    pool = workloads.get("service_pool")
-    if pool is None:
-        failures.append("fresh report is missing workload 'service_pool'")
-    elif pool.get("pooled_identical") is not True:
-        failures.append("worker-pool answers are no longer byte-identical")
-    else:
-        print("service_pool                 pooled answers byte-identical  ok")
     codec = workloads.get("wire_codec_throughput")
     if codec is None:
         failures.append("fresh report is missing workload 'wire_codec_throughput'")

@@ -17,6 +17,7 @@ Two interfaces:
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Generic, Optional, TypeVar
 
 K = TypeVar("K")
@@ -24,12 +25,22 @@ V = TypeVar("V")
 
 __all__ = ["bounded_put", "BoundedCache", "CacheStats"]
 
+#: Serialises every :func:`bounded_put`: some memos (the FDH memo behind
+#: every signature check) are module-wide dicts shared by client threads.
+_PUT_LOCK = threading.Lock()
+
 
 def bounded_put(cache: Dict[K, V], key: K, value: V, max_size: int) -> V:
-    """Insert ``key -> value``, evicting the oldest entry at the size bound."""
-    if len(cache) >= max_size:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
+    """Insert ``key -> value``, evicting the oldest entry at the size bound.
+
+    Safe for concurrent callers: the size check, the eviction and the insert
+    run under one lock, so two threads never evict the same oldest key and
+    the dict never grows past ``max_size``.
+    """
+    with _PUT_LOCK:
+        if len(cache) >= max_size:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
     return value
 
 

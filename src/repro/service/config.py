@@ -5,8 +5,7 @@ durable storage layer lives in one of two value objects instead of a kwarg
 sprawl:
 
 * :class:`ServerConfig` — socket binding and concurrency: bind address,
-  connection cap, proof-worker pool size, response cache, per-connection
-  pipelining cap.
+  connection cap, response cache, per-connection pipelining cap.
 * :class:`StorageConfig` — durability: the storage root, the row backend
   (``memory`` or ``sqlite``; see :data:`repro.storage.store.STORAGE_BACKENDS`),
   the WAL fsync policy and the checkpoint cadence.
@@ -15,10 +14,7 @@ sprawl:
   refused, and the clock that judges it.
 
 All are frozen dataclasses that validate on construction, so an invalid
-configuration fails where it is written, not where it is first used.  The
-legacy keyword arguments on :class:`PublicationServer` and
-:func:`~repro.storage.store.open_publication_storage` keep working for one
-release through a shim that emits :class:`DeprecationWarning`.
+configuration fails where it is written, not where it is first used.
 """
 
 from __future__ import annotations
@@ -73,8 +69,7 @@ class FreshnessPolicy:
 class ServerConfig:
     """How a :class:`~repro.service.server.PublicationServer` binds and scales.
 
-    Parameters mirror the historical keyword arguments; see the server class
-    for their full semantics.
+    See the server class for the full semantics of each field.
     """
 
     host: str = "127.0.0.1"
@@ -82,8 +77,6 @@ class ServerConfig:
     #: Maximum concurrently open connections (historical name: the
     #: thread-pool ancestor had one thread per connection).
     max_workers: int = 8
-    #: Proof worker pool size; 0 constructs proofs inline on the event loop.
-    worker_processes: int = 0
     #: Encoded-response cache for hot query/join frames.
     response_cache: bool = True
     #: Per-connection cap on parsed-but-unanswered pipelined frames; beyond
@@ -108,8 +101,6 @@ class ServerConfig:
             raise ValueError(f"port {self.port} is not a TCP port")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.worker_processes < 0:
-            raise ValueError("worker_processes must be >= 0")
         if self.max_pipelined_frames < 1:
             raise ValueError("max_pipelined_frames must be >= 1")
 

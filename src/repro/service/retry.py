@@ -16,7 +16,7 @@ Retryability is deliberately narrow:
   :meth:`repro.service.router.ShardRouter.remember_applied_update`).
 * :class:`~repro.service.protocol.RemoteError` with a code in
   :attr:`RetryPolicy.retryable_codes` — explicitly transient server states
-  (``ServerBusy``, ``WorkerCrashed``).  Every other typed server error —
+  (``ServerBusy``).  Every other typed server error —
   stale updates, bad signatures, unknown manifests — is a *semantic* answer
   and retrying it verbatim would just repeat it.
 
@@ -41,7 +41,7 @@ from repro.service.protocol import (
 __all__ = ["RetryPolicy", "RetriesExhausted", "DEFAULT_RETRYABLE_CODES"]
 
 #: Server error codes that describe a transient condition worth retrying.
-DEFAULT_RETRYABLE_CODES: FrozenSet[str] = frozenset({"ServerBusy", "WorkerCrashed"})
+DEFAULT_RETRYABLE_CODES: FrozenSet[str] = frozenset({"ServerBusy"})
 
 
 class RetriesExhausted(ServiceError):

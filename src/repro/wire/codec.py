@@ -68,8 +68,6 @@ from repro.wire.primitives import WireReader, WireWriter
 __all__ = [
     "encode",
     "decode",
-    "frame_type",
-    "peek_leading_fields",
     "to_json",
     "from_json",
     "to_json_obj",
@@ -1226,36 +1224,6 @@ def decode(data, expect: Optional[type] = None):
             reason="unexpected-artifact",
         )
     return artifact
-
-
-def frame_type(data) -> type:
-    """The artifact class a frame encodes, from the envelope alone.
-
-    Reads four bytes (magic, version, tag) and decodes **nothing else** —
-    the zero-copy peek a server uses to pick a dispatch path for a frame
-    before (or instead of) fully decoding it.
-    """
-    _, codec = _open_frame(data)
-    return codec.cls
-
-
-def peek_leading_fields(data, count: int) -> Tuple[object, ...]:
-    """Lazily decode only the first ``count`` body fields of a frame.
-
-    The rest of the payload is left untouched (and unvalidated — the caller
-    is expected to fully :func:`decode` the frame before trusting it; the
-    peek exists so a router can read e.g. a leading manifest id without
-    materialising the verification object behind it).
-    """
-    reader, codec = _open_frame(data)
-    plan = codec._read_plan[:count]
-    if len(plan) < count:
-        raise WireFormatError(
-            f"{codec.name} has only {len(codec._read_plan)} fields, "
-            f"cannot peek {count}",
-            reason="invalid-artifact",
-        )
-    return tuple(read(reader, label) for read, label in plan)
 
 
 def to_json_obj(artifact) -> Dict[str, object]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.cache import BoundedCache
+from repro.cache import BoundedCache, bounded_put
 from repro.core.publisher import Publisher
 from repro.core.relational import SignedRelation
 from repro.core.verifier import ResultVerifier
@@ -28,6 +31,54 @@ def test_bounded_cache_counts_and_evicts():
     assert stats["size"] == 2 and stats["capacity"] == 2
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert cache.get("a") is None
+
+
+def test_bounded_put_is_safe_for_concurrent_evictions():
+    """Threads evicting at once neither pop the same key twice nor overfill.
+
+    The FDH memo behind every signature check is one module-wide dict filled
+    through ``bounded_put``, so concurrent verifying clients evict from it at
+    the same time.  A tiny switch interval makes the unsafe interleavings
+    show up within a few thousand puts: two threads popping one oldest key
+    (``KeyError``), iteration racing a resize (``RuntimeError``), and two
+    threads inserting after one size check (one entry past the bound).
+    """
+    cache: dict = {}
+    bound = 64
+    errors = []
+    peak = [0]
+    writing = threading.Event()
+
+    def writer(thread: int) -> None:
+        try:
+            for index in range(50_000):
+                bounded_put(cache, (thread, index), index, bound)
+        except Exception as error:  # noqa: BLE001 - the failure under test
+            errors.append(error)
+
+    def sampler() -> None:
+        while writing.is_set():
+            peak[0] = max(peak[0], len(cache))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writing.set()
+        watcher = threading.Thread(target=sampler, daemon=True)
+        watcher.start()
+        writers = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=120)
+        writing.clear()
+        watcher.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writers + [watcher])
+    assert errors == []
+    assert len(cache) <= bound
+    assert peak[0] <= bound
 
 
 def test_publisher_cache_stats_and_capacity(signature_scheme):

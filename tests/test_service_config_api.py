@@ -1,14 +1,11 @@
-"""The consolidated configuration/client API: configs, shims, QuerySpec.
+"""The consolidated configuration/client API: configs and QuerySpec.
 
-Three api_redesign contracts live here:
+Two api_redesign contracts live here:
 
 * :class:`~repro.service.ServerConfig` / :class:`~repro.service.StorageConfig`
   are frozen, validate on construction, and are the one way tunables reach
   :class:`~repro.service.PublicationServer` and
   :func:`~repro.storage.open_publication_storage`;
-* the historical keyword arguments still work for one release through a shim
-  that emits :class:`DeprecationWarning` (and legacy kwargs override the
-  matching ``config`` field when both are passed);
 * :class:`~repro.service.QuerySpec` is the single value object behind
   ``query`` / ``query_many`` / ``query_join`` — the legacy methods are thin
   delegates, asserted equivalent down to the verified rows and manifest
@@ -65,8 +62,6 @@ def test_server_config_validates_on_construction():
     with pytest.raises(ValueError):
         ServerConfig(max_workers=0)
     with pytest.raises(ValueError):
-        ServerConfig(worker_processes=-1)
-    with pytest.raises(ValueError):
         ServerConfig(max_pipelined_frames=0)
 
 
@@ -98,34 +93,7 @@ def test_with_overrides_revalidates():
         storage.with_overrides(fsync="maybe")
 
 
-# -- the legacy-kwarg shim -----------------------------------------------------
-
-
-def test_legacy_server_kwargs_warn_but_work(demo_world):
-    with pytest.warns(DeprecationWarning, match="ServerConfig"):
-        server = PublicationServer(demo_world.router, max_workers=2)
-    try:
-        assert server.config.max_workers == 2
-        server.start()
-        host, port = server.address
-        with VerifyingClient(host, port) as active:
-            assert "employees" in active.relations()
-    finally:
-        server.stop()
-
-
-def test_legacy_kwargs_override_config_fields(demo_world):
-    with pytest.warns(DeprecationWarning):
-        server = PublicationServer(
-            demo_world.router,
-            config=ServerConfig(max_workers=4, response_cache=False),
-            max_workers=2,
-        )
-    try:
-        assert server.config.max_workers == 2
-        assert server.config.response_cache is False
-    finally:
-        server.stop()
+# -- config-only construction --------------------------------------------------
 
 
 def test_config_only_construction_is_warning_free(demo_world, recwarn):

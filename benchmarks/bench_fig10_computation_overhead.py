@@ -83,9 +83,7 @@ def base_sweep_worlds(signature_scheme):
         worlds[base] = (
             relation,
             Publisher({"employees": signed}),
-            # memoize=False: this module reproduces the paper's per-query user
-            # computation, so the verifier must hash from scratch every time.
-            ResultVerifier({"employees": signed.manifest}, memoize=False),
+            ResultVerifier({"employees": signed.manifest}),
         )
     return worlds
 
@@ -98,6 +96,15 @@ def _query(relation, size):
     )
 
 
+def _verify_from_scratch(verifier, query, result):
+    """Verify with a fresh verifier, so its canonical-digest memo starts empty.
+
+    Every call then walks the digit chains the paper's per-query user
+    computation counts, however many rounds the benchmark runs.
+    """
+    return ResultVerifier(verifier.manifests).verify(query, result.rows, result.proof)
+
+
 def test_report_measured_hash_counts(base_sweep_worlds):
     """Measured verifier hash counts per base, scaled by the paper's Chash."""
     rows = []
@@ -108,7 +115,7 @@ def test_report_measured_hash_counts(base_sweep_worlds):
             query = _query(relation, size)
             result = publisher.answer(query)
             HASH_COUNTER.reset()
-            report_obj = verifier.verify(query, result.rows, result.proof)
+            report_obj = _verify_from_scratch(verifier, query, result)
             hashes = report_obj.hash_operations
             row.append(f"{hashes} ({hashes * PARAMS.c_hash * 1000 + PARAMS.c_sign * 1000:.1f} ms)")
             minima.setdefault(size, {})[base] = hashes
@@ -140,7 +147,7 @@ def test_verification_time_base2(benchmark, base_sweep_worlds, result_size):
     relation, publisher, verifier = base_sweep_worlds[2]
     query = _query(relation, result_size)
     result = publisher.answer(query)
-    benchmark(verifier.verify, query, result.rows, result.proof)
+    benchmark(_verify_from_scratch, verifier, query, result)
 
 
 @pytest.mark.parametrize("base", [2, 3, 8])
@@ -148,7 +155,7 @@ def test_verification_time_result10(benchmark, base_sweep_worlds, base):
     relation, publisher, verifier = base_sweep_worlds[base]
     query = _query(relation, 10)
     result = publisher.answer(query)
-    benchmark(verifier.verify, query, result.rows, result.proof)
+    benchmark(_verify_from_scratch, verifier, query, result)
 
 
 def test_analytical_linear_growth():

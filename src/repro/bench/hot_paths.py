@@ -13,20 +13,19 @@ compares each against a faithful replica of the seed (uncached) code path:
   isolating the CRT-precompute + FDH-cache win without the signature memo.
 * **publisher repeated range queries** — a fixed set of hot ranges queried
   over and over.  The fast path serves boundary proofs, entry assists and
-  signature bundles from the keyed VO-fragment cache and representation
-  Merkle trees from the digest-scheme memos; the seed path rebuilt everything
-  per query.
+  signature bundles from the keyed VO-fragment cache; the seed path rebuilt
+  everything per query.
 * **publisher PK-FK joins** and **verifier checking** — same repetition
   pattern on the join path (batched point proofs + fragment cache) and the
-  user-side verifier (persistent chain schemes vs. rebuilt-per-check).
+  user-side verifier (persistent chain schemes, whose canonical-digest memo
+  serves repeated entries, vs. rebuilt-per-check).
 
 Cached and uncached configurations produce byte-identical proofs — the
 harness asserts this for every workload before timing anything, and the
 property tests in ``tests/test_cache_consistency.py`` check it independently.
 
 Baseline fidelity: the module-level LRU memos (polynomial representations, FDH
-representatives) are global and not governed by the ``memoize``/``vo_cache``
-flags, so they are cleared immediately before every uncached timing.  The
+representatives) are global and not governed by the ``vo_cache`` flag, so they are cleared immediately before every uncached timing.  The
 first uncached round re-warms the cheap pure-integer polynomial memos — the
 seed had none at all — so the reported uncached throughput is, if anything, a
 slight *over*-estimate and the speedups a conservative lower bound.
@@ -341,11 +340,11 @@ def _bench_fixed_base_verify(
 
 
 def _employee_world(
-    scheme: SignatureScheme, config: HotPathConfig, memoize: bool
+    scheme: SignatureScheme, config: HotPathConfig, vo_cache: bool
 ) -> Tuple[SignedRelation, Publisher, ResultVerifier]:
     relation = workload.generate_employees(config.table_rows, seed=21, photo_bytes=32)
-    signed = SignedRelation(relation, scheme, memoize=memoize)
-    publisher = Publisher({"employees": signed}, vo_cache=memoize)
+    signed = SignedRelation(relation, scheme)
+    publisher = Publisher({"employees": signed}, vo_cache=vo_cache)
     verifier = ResultVerifier({"employees": signed.manifest})
     return signed, publisher, verifier
 
@@ -370,8 +369,8 @@ def _range_queries(config: HotPathConfig) -> List[Query]:
 def _bench_publisher_ranges(
     scheme: SignatureScheme, config: HotPathConfig
 ) -> Tuple[Dict[str, float], bool]:
-    _, cold_publisher, _ = _employee_world(scheme, config, memoize=False)
-    _, hot_publisher, verifier = _employee_world(scheme, config, memoize=True)
+    _, cold_publisher, _ = _employee_world(scheme, config, vo_cache=False)
+    _, hot_publisher, verifier = _employee_world(scheme, config, vo_cache=True)
     queries = _range_queries(config)
 
     # Correctness pass: byte-identical proofs, and the verifier accepts both.
@@ -408,15 +407,15 @@ def _bench_publisher_ranges(
 
 
 def _join_world(
-    scheme: SignatureScheme, config: HotPathConfig, memoize: bool
+    scheme: SignatureScheme, config: HotPathConfig, vo_cache: bool
 ) -> Tuple[Publisher, ResultVerifier]:
     customers, orders = workload.generate_customers_and_orders(
         config.join_customers, config.join_orders, seed=9
     )
-    signed_customers = SignedRelation(customers, scheme, memoize=memoize)
-    signed_orders = SignedRelation(orders, scheme, memoize=memoize)
+    signed_customers = SignedRelation(customers, scheme)
+    signed_orders = SignedRelation(orders, scheme)
     database = {"customers": signed_customers, "orders": signed_orders}
-    publisher = Publisher(database, vo_cache=memoize)
+    publisher = Publisher(database, vo_cache=vo_cache)
     verifier = ResultVerifier(
         {name: signed.manifest for name, signed in database.items()}
     )
@@ -426,8 +425,8 @@ def _join_world(
 def _bench_publisher_join(
     scheme: SignatureScheme, config: HotPathConfig
 ) -> Tuple[Dict[str, float], bool]:
-    cold_publisher, _ = _join_world(scheme, config, memoize=False)
-    hot_publisher, verifier = _join_world(scheme, config, memoize=True)
+    cold_publisher, _ = _join_world(scheme, config, vo_cache=False)
+    hot_publisher, verifier = _join_world(scheme, config, vo_cache=True)
     join = JoinQuery("orders", "customers", "customer_id", "customer_id")
 
     cold = cold_publisher.answer_join(join)
@@ -452,7 +451,7 @@ def _bench_publisher_join(
 def _bench_verifier(
     scheme: SignatureScheme, config: HotPathConfig
 ) -> Dict[str, float]:
-    signed, publisher, _ = _employee_world(scheme, config, memoize=True)
+    signed, publisher, _ = _employee_world(scheme, config, vo_cache=True)
     queries = _range_queries(config)
     answers = [(query, publisher.answer(query)) for query in queries]
     manifests = {"employees": signed.manifest}
@@ -468,7 +467,7 @@ def _bench_verifier(
         for query, result in answers:
             persistent.verify(query, result.rows, result.proof)
 
-    verify_persistent()  # warm the scheme memos before timing
+    verify_persistent()  # warm the canonical-digest memo before timing
     ops = len(answers) * config.verify_rounds
     _clear_global_memos()
     uncached = _timed(lambda: [verify_fresh() for _ in range(config.verify_rounds)])

@@ -43,7 +43,7 @@ def _print_stats(profiler: cProfile.Profile, limit: int) -> None:
 def profile_serving(config: HotPathConfig, rounds: int, limit: int) -> None:
     """Profile verified serving: answer + verify for repeated range queries."""
     scheme = rsa_scheme(bits=config.key_bits)
-    signed, publisher, _ = _employee_world(scheme, config, memoize=True)
+    signed, publisher, _ = _employee_world(scheme, config, vo_cache=True)
     verifier_manifests = {"employees": signed.manifest}
     from repro.core.verifier import ResultVerifier
 

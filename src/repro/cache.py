@@ -1,23 +1,30 @@
 """Shared bounded-cache primitives used by the memoization fast path.
 
-Every memo in the library (signature memo, hash-chain memo, digest-scheme
-memos, the publisher's VO-fragment cache, the server's encoded-response
-cache) bounds its size the same way: insertion-order FIFO eviction once a
-cap is reached.  Centralising the eviction here keeps the policy identical
+Every bounded memo in the library (FDH representatives, the signature memo,
+the publisher's VO-fragment cache, the server's encoded-response cache)
+bounds its size the same way: insertion-order FIFO eviction once a cap is
+reached.  Centralising the eviction here keeps the policy identical
 everywhere and gives one place to change it (e.g. to LRU) later.
+
+Entries live in a :class:`collections.OrderedDict` and the oldest is evicted
+with ``popitem(last=False)``: O(1) whatever the eviction history.  (A plain
+dict's ``next(iter(d))`` scans past every slot deleted at the front, so an
+evicting put on a long-lived FIFO dict cost microseconds instead of tens of
+nanoseconds.)
 
 Two interfaces:
 
-* :func:`bounded_put` — the primitive for plain-dict memos that do not need
-  observability.
-* :class:`BoundedCache` — a dict-backed cache with the same eviction policy
-  plus hit/miss/eviction counters and a configurable capacity, for the
+* :func:`bounded_put` — the primitive for ``OrderedDict`` memos that do not
+  need observability.
+* :class:`BoundedCache` — a cache with the same eviction policy plus
+  hit/miss/eviction counters and a configurable capacity, for the
   long-running-server caches that must expose ``cache_stats()``.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Dict, Generic, Optional, TypeVar
 
 K = TypeVar("K")
@@ -30,16 +37,17 @@ __all__ = ["bounded_put", "BoundedCache", "CacheStats"]
 _PUT_LOCK = threading.Lock()
 
 
-def bounded_put(cache: Dict[K, V], key: K, value: V, max_size: int) -> V:
-    """Insert ``key -> value``, evicting the oldest entry at the size bound.
+def bounded_put(cache: "OrderedDict[K, V]", key: K, value: V, max_size: int) -> V:
+    """Insert ``key -> value``, evicting the oldest entries at the size bound.
 
     Safe for concurrent callers: the size check, the eviction and the insert
     run under one lock, so two threads never evict the same oldest key and
-    the dict never grows past ``max_size``.
+    the dict never grows past ``max_size`` (a lowered bound is reached on
+    the next put).
     """
     with _PUT_LOCK:
-        if len(cache) >= max_size:
-            cache.pop(next(iter(cache)))
+        while len(cache) >= max_size:
+            cache.popitem(last=False)
         cache[key] = value
     return value
 
@@ -81,7 +89,7 @@ class BoundedCache(Generic[K, V]):
             raise ValueError("a bounded cache needs a capacity of at least 1")
         if max_weight is not None and max_weight < 1:
             raise ValueError("a bounded cache needs a weight budget of at least 1")
-        self._data: Dict[K, V] = {}
+        self._data: "OrderedDict[K, V]" = OrderedDict()
         self._weights: Dict[K, int] = {}
         self.max_size = max_size
         self.max_weight = max_weight
@@ -106,8 +114,7 @@ class BoundedCache(Generic[K, V]):
         return value
 
     def _evict_oldest(self) -> None:
-        oldest = next(iter(self._data))
-        del self._data[oldest]
+        oldest, _ = self._data.popitem(last=False)
         self.total_weight -= self._weights.pop(oldest, 0)
         self.evictions += 1
 

@@ -22,19 +22,35 @@ Two interchangeable implementations are provided:
   decomposed in base ``B``, one short chain per digit, the ``m`` preferred
   non-canonical representations are committed under a Merkle tree, and hashing
   drops to O(B · log_B(domain width)).
+
+Each optimized-scheme call walks every ``(anchor, position)`` digit chain
+once, up to the largest digit any representation uses there (at most
+``2B - 1``), and reads the canonical digest, every representation leaf and
+every boundary intermediate off those walks.  The owner and the publisher
+keep no digest memos.  The one memo left is the verifier's bounded map from
+``(value, total)`` to the canonical digest: a client verifying many ranges
+over one manifest meets the same entries again and again.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cache import bounded_put
 from repro.core import polynomial
 from repro.core.errors import CheatingAttemptError
-from repro.crypto.encoding import encode_many
-from repro.crypto.hashing import HashFunction, IteratedHasher, default_hash
+from repro.crypto.encoding import encode_many, int_to_bytes
+from repro.crypto.hashing import (
+    HASH_COUNTER,
+    HashFunction,
+    IteratedHasher,
+    chain_base_preimage,
+    default_hash,
+    resolve_hash_constructor,
+)
 from repro.crypto.merkle import MerkleProof, MerkleTree
 
 __all__ = [
@@ -46,6 +62,9 @@ __all__ = [
 ]
 
 _EMPTY_REPRESENTATION_SENTINEL = b"__no_preferred_representations__"
+
+#: Bound on the verifier's canonical-digest memo (FIFO eviction).
+_CANONICAL_MEMO_MAX = 8192
 
 
 @dataclass(frozen=True)
@@ -98,19 +117,11 @@ class BoundaryAssist:
         return count
 
 
-#: Bound on each per-scheme memo (representation trees, canonical digests,
-#: commitments).  Entries are evicted in insertion order once the bound is hit.
-_SCHEME_CACHE_MAX = 8192
-
-
 class ChainDigestScheme(abc.ABC):
     """Interface shared by the conceptual and optimized chain digest schemes.
 
-    ``memoize`` (default True) turns on the digest caches: the per-anchor hash
-    chain memo of :class:`~repro.crypto.hashing.IteratedHasher` and, for the
-    optimized scheme, per-``(value, total)`` memos of representation Merkle
-    trees, canonical digests and commitments.  Cached and uncached schemes
-    produce byte-identical digests — the caches only skip recomputation.
+    Every call hashes from the value's anchor, so the owner, the publisher
+    and the verifier compute each digest the same way.
     """
 
     def __init__(
@@ -118,15 +129,13 @@ class ChainDigestScheme(abc.ABC):
         domain_width: int,
         namespace: str,
         hash_function: Optional[HashFunction] = None,
-        memoize: bool = True,
     ) -> None:
         if domain_width < 2:
             raise ValueError("domain width must be at least 2")
         self.domain_width = domain_width
         self.namespace = namespace
         self.hash_function = hash_function or default_hash()
-        self.memoize = memoize
-        self.hasher = IteratedHasher(self.hash_function, memoize=memoize)
+        self.hasher = IteratedHasher(self.hash_function)
 
     # -- anchors -----------------------------------------------------------------
 
@@ -220,92 +229,120 @@ class OptimizedChainScheme(ChainDigestScheme):
         namespace: str,
         base: int = 2,
         hash_function: Optional[HashFunction] = None,
-        memoize: bool = True,
     ) -> None:
-        super().__init__(domain_width, namespace, hash_function, memoize)
+        super().__init__(domain_width, namespace, hash_function)
         if base < 2:
             raise ValueError("the polynomial base B must be at least 2")
         self.base = base
         self.num_digits = polynomial.num_digits_for(domain_width, base)
-        # (anchor, total) -> MerkleTree / canonical digest / commitment memos.
-        # The owner commits, the publisher builds assists and boundary proofs
-        # for the *same* (value, total) pairs over and over; each memo turns
-        # that repeated Merkle/chain work into a dictionary lookup.
-        self._tree_cache: dict = {}
-        self._canonical_cache: dict = {}
-        self._commitment_cache: dict = {}
+        self._new = resolve_hash_constructor(self.hash_function.name)
+        # h^0(anchor | p) hashes chain_base_preimage(anchor, p); the anchor's
+        # namespace field and the position suffixes are the same every call.
+        self._namespace_preimage = chain_base_preimage(encode_many([namespace]))
+        self._position_tags = [b"|" + int_to_bytes(p) for p in range(self.num_digits)]
+        #: (value, total) -> canonical digest, filled by recompute_from_value.
+        self._canonical_memo: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
 
     # -- internal helpers -------------------------------------------------------
 
-    def _cache_put(self, cache: dict, key, value):
-        return bounded_put(cache, key, value, _SCHEME_CACHE_MAX)
+    def _chain_bases(self, value: int) -> List[bytes]:
+        """``chain_base_preimage(anchor, p)`` for every digit position ``p``."""
+        prefix = self._namespace_preimage + encode_many([int(value)])
+        return [prefix + tag for tag in self._position_tags]
 
-    def _digit_digest(self, anchor: bytes, exponent: int, position: int) -> bytes:
-        """``h^{exponent}(value | position)`` for one digit chain."""
-        return self.hasher.iterate(anchor, exponent, suffix=position)
+    def _walk(self, value: int, tops: Sequence[int]) -> List[List[bytes]]:
+        """``chains[p][d] = h^d(anchor | p)`` for every ``d <= tops[p]``.
 
-    def _representation_digest(
-        self, anchor: bytes, representation: polynomial.Representation
+        One pass per digit position; the hashes run are added to
+        :data:`HASH_COUNTER` in one step.
+        """
+        new = self._new
+        chains = []
+        for base, top in zip(self._chain_bases(value), tops):
+            digest = new(base).digest()
+            chain = [digest]
+            for _ in range(top):
+                digest = new(digest).digest()
+                chain.append(digest)
+            chains.append(chain)
+        HASH_COUNTER.count += len(chains) + sum(tops)
+        return chains
+
+    def _walk_all(self, value: int, canonical: Tuple[int, ...]) -> List[List[bytes]]:
+        """Digit chains long enough for every representation of an exponent.
+
+        A preferred non-canonical representation (see
+        :func:`~repro.core.polynomial.preferred_representation`) raises digit
+        0 by ``B`` and digits ``1..m-1`` by at most ``B - 1``; no
+        representation exceeds the canonical top digit.
+        """
+        if len(canonical) == 1:
+            return self._walk(value, canonical)
+        base = self.base
+        tops = [canonical[0] + base]
+        tops.extend(digit + base - 1 for digit in canonical[1:-1])
+        tops.append(canonical[-1])
+        return self._walk(value, tops)
+
+    def _canonical_digits(self, exponent: int) -> Tuple[int, ...]:
+        return polynomial.to_canonical_digits(exponent, self.base, self.num_digits)
+
+    def _canonical_digest(
+        self, chains: List[List[bytes]], canonical: Tuple[int, ...]
     ) -> bytes:
-        """Digest of one representation: hash of its concatenated digit chains."""
-        parts = [
-            self._digit_digest(anchor, representation.digits[position], position)
-            for position in representation.included_positions()
-        ]
-        return self.hash_function.combine(*parts)
-
-    def _canonical_digest(self, anchor: bytes, total: int) -> bytes:
-        if self.memoize:
-            cached = self._canonical_cache.get((anchor, total))
-            if cached is not None:
-                return cached
-        canonical = polynomial.canonical_representation(total, self.base, self.num_digits)
-        digest = self._representation_digest(anchor, canonical)
-        if self.memoize:
-            self._cache_put(self._canonical_cache, (anchor, total), digest)
-        return digest
-
-    def _representation_tree(self, anchor: bytes, total: int) -> MerkleTree:
-        if self.memoize:
-            cached = self._tree_cache.get((anchor, total))
-            if cached is not None:
-                return cached
-        representations = polynomial.all_preferred_representations(
-            total, self.base, self.num_digits
+        """Digest of the canonical representation: hash of its digit-chain points."""
+        return self.hash_function.combine(
+            *[chain[digit] for chain, digit in zip(chains, canonical)]
         )
-        leaves = [
-            self._representation_digest(anchor, representation)
-            for representation in representations
-        ]
-        if not leaves:
-            leaves = [_EMPTY_REPRESENTATION_SENTINEL]
-        tree = MerkleTree(leaves, self.hash_function)
-        if self.memoize:
-            self._cache_put(self._tree_cache, (anchor, total), tree)
-        return tree
+
+    def _representation_tree(
+        self, chains: List[List[bytes]], canonical: Tuple[int, ...]
+    ) -> MerkleTree:
+        """Merkle tree over the digests of the preferred non-canonical representations.
+
+        Leaf ``i`` hashes the digit-chain points of
+        :func:`~repro.core.polynomial.preferred_representation` ``i``: digit 0
+        at ``c_0 + B``, digits ``1..i`` at ``c_p + B - 1``, digit ``i + 1`` at
+        ``c_{i+1} - 1`` (dropped when ``c_{i+1}`` is 0) and the canonical
+        digits above, read off the walked chains.
+        """
+        if len(canonical) == 1:  # a single digit has no preferred representations
+            return MerkleTree([_EMPTY_REPRESENTATION_SENTINEL], self.hash_function)
+        new = self._new
+        base = self.base
+        points = [chain[digit] for chain, digit in zip(chains, canonical)]
+        raised = [chains[0][canonical[0] + base]]
+        raised.extend(
+            chains[position][canonical[position] + base - 1]
+            for position in range(1, len(canonical) - 1)
+        )
+        leaves = []
+        for position in range(1, len(canonical)):
+            borrow = canonical[position]
+            lowered = [chains[position][borrow - 1]] if borrow else []
+            leaves.append(
+                new(b"".join(raised[:position] + lowered + points[position + 1 :])).digest()
+            )
+        HASH_COUNTER.count += len(leaves)
+        return MerkleTree(leaves, self.hash_function)
 
     # -- owner side ----------------------------------------------------------------
 
     def commitment(self, value: int, total: int) -> bytes:
         if total < 0:
             raise ValueError("chain exponent must be non-negative")
-        if self.memoize:
-            cached = self._commitment_cache.get((value, total))
-            if cached is not None:
-                return cached
-        anchor = self._anchor(value)
-        canonical_digest = self._canonical_digest(anchor, total)
-        tree = self._representation_tree(anchor, total)
-        digest = self.hash_function.combine(canonical_digest, tree.root)
-        if self.memoize:
-            self._cache_put(self._commitment_cache, (value, total), digest)
-        return digest
+        canonical = self._canonical_digits(total)
+        chains = self._walk_all(value, canonical)
+        return self.hash_function.combine(
+            self._canonical_digest(chains, canonical),
+            self._representation_tree(chains, canonical).root,
+        )
 
     # -- publisher side ---------------------------------------------------------------
 
     def entry_assist(self, value: int, total: int) -> EntryAssist:
-        anchor = self._anchor(value)
-        tree = self._representation_tree(anchor, total)
+        canonical = self._canonical_digits(total)
+        tree = self._representation_tree(self._walk_all(value, canonical), canonical)
         return EntryAssist(mht_root=tree.root)
 
     def boundary_proof(self, value: int, total: int, delta_c: int) -> BoundaryAssist:
@@ -314,17 +351,18 @@ class OptimizedChainScheme(ChainDigestScheme):
                 "the value does not satisfy the claimed bound; "
                 "no valid representation of the intermediate exponent exists"
             )
-        anchor = self._anchor(value)
-        c_digits = polynomial.to_canonical_digits(delta_c, self.base, self.num_digits)
         selected = polynomial.select_boundary_representation(
             total, delta_c, self.base, self.num_digits
         )
-        delta_e_digits = polynomial.subtract_digitwise(selected.digits, c_digits)
-        intermediates = tuple(
-            self._digit_digest(anchor, delta_e_digits[position], position)
-            for position in range(self.num_digits)
+        delta_e_digits = polynomial.subtract_digitwise(
+            selected.digits, self._canonical_digits(delta_c)
         )
-        tree = self._representation_tree(anchor, total)
+        canonical = self._canonical_digits(total)
+        chains = self._walk_all(value, canonical)
+        intermediates = tuple(
+            chain[digit] for chain, digit in zip(chains, delta_e_digits)
+        )
+        tree = self._representation_tree(chains, canonical)
         if selected.is_canonical:
             return BoundaryAssist(
                 intermediate_digests=intermediates,
@@ -335,7 +373,7 @@ class OptimizedChainScheme(ChainDigestScheme):
         return BoundaryAssist(
             intermediate_digests=intermediates,
             used_canonical=False,
-            canonical_digest=self._canonical_digest(anchor, total),
+            canonical_digest=self._canonical_digest(chains, canonical),
             mht_proof=tree.prove(selected.index),
         )
 
@@ -348,8 +386,16 @@ class OptimizedChainScheme(ChainDigestScheme):
             raise ValueError(
                 "the optimized scheme needs the representation-tree root to verify an entry"
             )
-        anchor = self._anchor(value)
-        canonical_digest = self._canonical_digest(anchor, total)
+        key = (value, total)
+        canonical_digest = self._canonical_memo.get(key)
+        if canonical_digest is None:
+            canonical = self._canonical_digits(total)
+            canonical_digest = bounded_put(
+                self._canonical_memo,
+                key,
+                self._canonical_digest(self._walk(value, canonical), canonical),
+                _CANONICAL_MEMO_MAX,
+            )
         return self.hash_function.combine(canonical_digest, assist.mht_root)
 
     def recompute_from_boundary(self, delta_c: int, assist: BoundaryAssist) -> bytes:
@@ -357,12 +403,15 @@ class OptimizedChainScheme(ChainDigestScheme):
             raise ValueError(
                 "boundary proof carries the wrong number of intermediate digests"
             )
-        c_digits = polynomial.to_canonical_digits(delta_c, self.base, self.num_digits)
-        advanced = [
-            self.hasher.extend(digest, c_digits[position])
-            for position, digest in enumerate(assist.intermediate_digests)
-        ]
-        representation_digest = self.hash_function.combine(*advanced)
+        extend = self.hasher.extend
+        representation_digest = self.hash_function.combine(
+            *[
+                extend(digest, steps)
+                for digest, steps in zip(
+                    assist.intermediate_digests, self._canonical_digits(delta_c)
+                )
+            ]
+        )
         if assist.used_canonical:
             if assist.mht_root is None:
                 raise ValueError("canonical boundary proof is missing the tree root")

@@ -49,18 +49,17 @@ def build_chain_schemes(
     domain: KeyDomain,
     base: int,
     hash_function: HashFunction,
-    memoize: bool = True,
 ) -> Tuple[ChainDigestScheme, ChainDigestScheme]:
     """The (upper, lower) chain digest schemes for a key domain."""
     if kind == "conceptual":
         return (
-            ConceptualChainScheme(domain.width, "upper", hash_function, memoize),
-            ConceptualChainScheme(domain.width, "lower", hash_function, memoize),
+            ConceptualChainScheme(domain.width, "upper", hash_function),
+            ConceptualChainScheme(domain.width, "lower", hash_function),
         )
     if kind == "optimized":
         return (
-            OptimizedChainScheme(domain.width, "upper", base, hash_function, memoize),
-            OptimizedChainScheme(domain.width, "lower", base, hash_function, memoize),
+            OptimizedChainScheme(domain.width, "upper", base, hash_function),
+            OptimizedChainScheme(domain.width, "lower", base, hash_function),
         )
     raise ValueError(f"unknown digest scheme kind {kind!r}")
 
@@ -98,17 +97,10 @@ class RelationManifest:
     def hash_function(self) -> HashFunction:
         return HashFunction(self.hash_name)
 
-    def chain_schemes(
-        self, memoize: bool = True
-    ) -> Tuple[ChainDigestScheme, ChainDigestScheme]:
-        """Fresh (upper, lower) chain schemes for this relation.
-
-        ``memoize=False`` yields schemes without digest memos — used by the
-        cost-model benchmarks, which count the hash operations a from-scratch
-        verification performs.
-        """
+    def chain_schemes(self) -> Tuple[ChainDigestScheme, ChainDigestScheme]:
+        """Fresh (upper, lower) chain schemes for this relation."""
         return build_chain_schemes(
-            self.scheme_kind, self.domain, self.base, self.hash_function(), memoize
+            self.scheme_kind, self.domain, self.base, self.hash_function()
         )
 
     @cached_property
@@ -185,7 +177,11 @@ class UpdateReceipt:
 
 
 class SignedRelation:
-    """A relation published with per-record chain signatures for one sort order."""
+    """A relation published with per-record chain signatures for one sort order.
+
+    ``memoize`` is still accepted from callers written against the memoised
+    digest layer, and changes nothing: the chain schemes have no memo switch.
+    """
 
     def __init__(
         self,
@@ -202,10 +198,9 @@ class SignedRelation:
         self.hash_function = hash_function or default_hash()
         self.scheme_kind = scheme_kind
         self.base = base
-        self.memoize = memoize
         self._signature_scheme = signature_scheme
         self.upper_scheme, self.lower_scheme = build_chain_schemes(
-            scheme_kind, self.domain, base, self.hash_function, memoize
+            scheme_kind, self.domain, base, self.hash_function
         )
         self._manifest: Optional[RelationManifest] = None
         self._entries: List[ChainEntry] = []

@@ -78,23 +78,19 @@ class ResultVerifier:
         self,
         manifests: Mapping[str, RelationManifest],
         policy: Optional[AccessControlPolicy] = None,
-        memoize: bool = True,
     ) -> None:
         self.manifests: Dict[str, RelationManifest] = dict(manifests)
         self.policy = policy
-        self.memoize = memoize
-        # Chain schemes (and their digest memos) are kept per manifest instead
-        # of being rebuilt for every verification, so a verifier checking many
-        # results over the same relation re-uses already-walked hash chains.
-        # ``memoize=False`` keeps the schemes but strips their memos, so cost
-        # benchmarks can count the hashes of a from-scratch verification.
+        # Chain schemes are built once per manifest instead of once per
+        # verification, so their canonical-digest memo serves every answer
+        # checked against that manifest.
         self._scheme_cache: Dict[RelationManifest, tuple] = {}
 
     def _chain_schemes(self, manifest: RelationManifest) -> tuple:
         """The manifest's (upper, lower) chain schemes, built once per manifest."""
         cached = self._scheme_cache.get(manifest)
         if cached is None:
-            cached = manifest.chain_schemes(self.memoize)
+            cached = manifest.chain_schemes()
             self._scheme_cache[manifest] = cached
         return cached
 

@@ -14,6 +14,13 @@ guaranteed by choosing a hash whose output length differs from the encoding
 length of the hashed value.  :class:`IteratedHasher` enforces this by prefixing
 every pre-image with a domain-separation tag, so the chain input never has the
 same format as a digest.
+
+Nothing here memoises: a chain is walked from its anchor on every call.
+Hot loops (chain walks, the Section 5.1 digit chains) call the constructor
+from :func:`resolve_hash_constructor` directly instead of going through
+:meth:`HashFunction.digest`, and add the number of hashes they ran to
+:data:`HASH_COUNTER` in one step, so the counter still equals the number of
+primitive hash invocations the cost model (Section 6) predicts.
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
-from repro.cache import bounded_put
 from repro.crypto.encoding import encode_value, int_to_bytes
 
 __all__ = [
@@ -32,6 +38,7 @@ __all__ = [
     "HashChain",
     "default_hash",
     "resolve_hash_constructor",
+    "chain_base_preimage",
     "HASH_COUNTER",
     "HashCounter",
 ]
@@ -126,46 +133,34 @@ def default_hash() -> HashFunction:
     return HashFunction("sha256")
 
 
-#: Bounds on the per-hasher chain memo: number of distinct anchors remembered,
-#: and the longest chain stored step-by-step (longer walks bypass the memo so a
-#: huge conceptual-scheme domain cannot exhaust memory).
-_MAX_MEMO_CHAINS = 4096
-_MAX_MEMO_STEPS = 1024
+def chain_base_preimage(value, suffix: Optional[int] = None) -> bytes:
+    """The tagged pre-image whose digest is ``h^0(value | suffix)``.
+
+    The ``chain-base`` prefix keeps chain inputs disjoint from chain outputs,
+    satisfying the paper's ``h^{-1}(r) != r`` requirement.
+    """
+    tag = b"chain-base|" + encode_value(value)
+    if suffix is not None:
+        tag += b"|" + int_to_bytes(suffix)
+    return tag
 
 
 @dataclass(frozen=True)
 class IteratedHasher:
     """Computes the iterated hashes ``h^i(r | suffix)`` used by formula (2)/(3).
 
-    ``h^0(r|j)`` applies the base hash once to the *tagged encoding* of the pair
-    ``(r, j)``; ``h^i`` applies the base hash ``i`` further times to the digest.
-    Tagging the pre-image (``chain-base`` prefix) keeps chain inputs disjoint
-    from chain outputs, satisfying the paper's ``h^{-1}(r) != r`` requirement.
-
-    Parameters
-    ----------
-    hash_function:
-        Underlying one-way hash.
-    memoize:
-        When True (the default), every chain walked through :meth:`iterate` is
-        remembered digest-by-digest, so overlapping prefixes — the owner
-        committing, the publisher later proving boundaries for the same value —
-        are hashed exactly once.  The memo only ever *removes* hash
-        invocations; the digests themselves are identical either way.
+    ``h^0(r|j)`` applies the base hash once to the tagged pre-image
+    (:func:`chain_base_preimage`) of the pair ``(r, j)``; ``h^i`` applies the
+    base hash ``i`` further times to the digest.  Every call walks its chain
+    from the anchor: callers that need several points of one chain (the
+    Section 5.1 scheme) walk it once themselves.
     """
 
     hash_function: HashFunction = field(default_factory=default_hash)
-    memoize: bool = True
-    _chains: Dict[Tuple[object, Optional[int]], list] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def base(self, value, suffix: Optional[int] = None) -> bytes:
         """Return ``h^0(value | suffix)``: the digest of the tagged pre-image."""
-        tag = b"chain-base|" + encode_value(value)
-        if suffix is not None:
-            tag += b"|" + int_to_bytes(suffix)
-        return self.hash_function.digest(tag)
+        return self.hash_function.digest(chain_base_preimage(value, suffix))
 
     def extend(self, digest: bytes, times: int) -> bytes:
         """Apply the base hash ``times`` additional times to ``digest``.
@@ -175,9 +170,11 @@ class IteratedHasher:
         """
         if times < 0:
             raise ValueError("cannot apply a hash chain a negative number of times")
+        new = resolve_hash_constructor(self.hash_function.name)
         result = digest
         for _ in range(times):
-            result = self.hash_function.digest(result)
+            result = new(result).digest()
+        HASH_COUNTER.count += times
         return result
 
     def iterate(self, value, times: int, suffix: Optional[int] = None) -> bytes:
@@ -191,31 +188,7 @@ class IteratedHasher:
         """
         if times < 0:
             raise ValueError(f"h^i is undefined for negative i (got i={times})")
-        if self.memoize:
-            try:
-                if times <= _MAX_MEMO_STEPS:
-                    return self._iterate_memoized(value, times, suffix)
-                # Long walks: serve the bounded prefix from the memo and hash
-                # only the tail, so repeated long chains still share work.
-                prefix = self._iterate_memoized(value, _MAX_MEMO_STEPS, suffix)
-                return self.extend(prefix, times - _MAX_MEMO_STEPS)
-            except TypeError:  # unhashable anchor value — fall through
-                pass
         return self.extend(self.base(value, suffix), times)
-
-    def _iterate_memoized(self, value, times: int, suffix: Optional[int]) -> bytes:
-        """Serve ``h^{times}(value | suffix)`` from the per-anchor chain memo."""
-        key = (value, suffix)
-        chain = self._chains.get(key)
-        if chain is None:
-            chain = bounded_put(
-                self._chains, key, [self.base(value, suffix)], _MAX_MEMO_CHAINS
-            )
-        digest = chain[-1]
-        while len(chain) <= times:
-            digest = self.hash_function.digest(digest)
-            chain.append(digest)
-        return chain[times]
 
 
 @dataclass

@@ -22,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import HashFunction, default_hash
+from repro.crypto.hashing import (
+    HASH_COUNTER,
+    HashFunction,
+    default_hash,
+    resolve_hash_constructor,
+)
 
 __all__ = ["MerkleTree", "MerkleProof", "merkle_root"]
 
@@ -59,6 +64,17 @@ class MerkleProof:
         return self.digest_count * digest_size
 
 
+def _parent_level(level: List[bytes], new) -> List[bytes]:
+    """Hash adjacent pairs of ``level``; an odd last node is promoted unchanged."""
+    parents = [
+        new(_NODE_PREFIX + level[index] + level[index + 1]).digest()
+        for index in range(0, len(level) - 1, 2)
+    ]
+    if len(level) % 2:
+        parents.append(level[-1])
+    return parents
+
+
 class MerkleTree:
     """Binary Merkle hash tree over a sequence of byte-string leaves.
 
@@ -87,25 +103,14 @@ class MerkleTree:
 
     # -- construction ------------------------------------------------------
 
-    def _hash_leaf(self, payload: bytes) -> bytes:
-        return self.hash_function.digest(_LEAF_PREFIX + payload)
-
-    def _hash_node(self, left: bytes, right: bytes) -> bytes:
-        return self.hash_function.digest(_NODE_PREFIX + left + right)
-
     def _build(self) -> None:
-        level = [self._hash_leaf(payload) for payload in self._leaf_payloads]
+        new = resolve_hash_constructor(self.hash_function.name)
+        level = [new(_LEAF_PREFIX + payload).digest() for payload in self._leaf_payloads]
         self._levels = [level]
         while len(level) > 1:
-            next_level: List[bytes] = []
-            for index in range(0, len(level), 2):
-                if index + 1 < len(level):
-                    next_level.append(self._hash_node(level[index], level[index + 1]))
-                else:
-                    # Odd node: promote unchanged.
-                    next_level.append(level[index])
-            level = next_level
+            level = _parent_level(level, new)
             self._levels.append(level)
+        HASH_COUNTER.count += 2 * len(self._leaf_payloads) - 1
 
     # -- public API --------------------------------------------------------
 
@@ -188,18 +193,11 @@ class MerkleTree:
         """Root of the tree whose leaf digests are ``leaf_digests``, in order."""
         if not leaf_digests:
             raise ValueError("a Merkle tree needs at least one leaf")
-        hasher = hash_function or default_hash()
+        new = resolve_hash_constructor((hash_function or default_hash()).name)
         level = list(leaf_digests)
         while len(level) > 1:
-            next_level = []
-            for index in range(0, len(level), 2):
-                if index + 1 < len(level):
-                    next_level.append(
-                        hasher.digest(_NODE_PREFIX + level[index] + level[index + 1])
-                    )
-                else:
-                    next_level.append(level[index])
-            level = next_level
+            level = _parent_level(level, new)
+        HASH_COUNTER.count += len(leaf_digests) - 1
         return level[0]
 
     @staticmethod

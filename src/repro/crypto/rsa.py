@@ -26,7 +26,7 @@ single-shot signing pay only the modular exponentiations themselves.
 from __future__ import annotations
 
 import secrets
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -136,7 +136,7 @@ class _FDHCache:
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self.data: Dict[Tuple[bytes, int, str], int] = {}
+        self.data: "OrderedDict[Tuple[bytes, int, str], int]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -357,7 +357,7 @@ class RSAPrivateKey:
         object.__setattr__(self, "_exponents", exponents)
         object.__setattr__(self, "_garner_prefixes", tuple(prefixes))
         object.__setattr__(self, "_garner_inverses", tuple(inverses))
-        object.__setattr__(self, "_signature_memo", {})
+        object.__setattr__(self, "_signature_memo", OrderedDict())
         object.__setattr__(self, "_crt_operand_cache", {})
 
     def public_key(self) -> RSAPublicKey:

@@ -79,9 +79,6 @@ class ServerConfig:
     max_workers: int = 8
     #: Encoded-response cache for hot query/join frames.
     response_cache: bool = True
-    #: Per-connection cap on parsed-but-unanswered pipelined frames; beyond
-    #: it the server stops reading that socket until responses drain.
-    max_pipelined_frames: int = 256
     #: Serve reads only: direct owner updates and attestation pushes are
     #: refused with a typed ``ReadOnlyReplica`` error.  Set on replica
     #: servers, whose state mutates exclusively through the replication
@@ -101,8 +98,6 @@ class ServerConfig:
             raise ValueError(f"port {self.port} is not a TCP port")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.max_pipelined_frames < 1:
-            raise ValueError("max_pipelined_frames must be >= 1")
 
     def with_overrides(self, **fields) -> "ServerConfig":
         """A copy with ``fields`` replaced (re-validated)."""

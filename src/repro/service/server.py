@@ -16,6 +16,12 @@ signature, write-ahead logged and applied all-or-nothing before the owner's
 ``UpdateResponse`` is queued — so a read pipelined after an acknowledged
 update is answered under the new snapshot.
 
+Answers go straight into the connection's outbound buffer.  A peer that
+pipelines without reading is held to :data:`MAX_OUTBUF_BYTES`: once the
+buffer reaches it the server stops reading that socket, and resumes when the
+peer has drained it to half — so the buffer never exceeds the bound plus one
+response frame.
+
 Every failure is answered with a typed
 :class:`~repro.service.protocol.ErrorResponse`; the server never leaks a
 stack trace to the peer and never dies on a malformed request.
@@ -30,8 +36,7 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.backend import backend_stats
 from repro.service.config import ServerConfig
@@ -42,13 +47,11 @@ from repro.wire import encode
 
 __all__ = ["PublicationServer"]
 
-#: Default per-connection cap on queued (parsed but unanswered) pipelined
-#: frames; beyond it the server stops reading that socket until responses
-#: drain — backpressure instead of unbounded buffering.  Tunable per server
-#: via :attr:`repro.service.config.ServerConfig.max_pipelined_frames`.
-MAX_PIPELINED_FRAMES = 256
-
 _RECV_CHUNK = 256 * 1024
+
+#: Per-connection bound on answered bytes the peer has not read yet, about
+#: five times a 16-answer pipelined batch of range answers.
+MAX_OUTBUF_BYTES = 1 << 20
 
 
 class _Connection:
@@ -58,7 +61,6 @@ class _Connection:
         "sock",
         "inbuf",
         "outbuf",
-        "pending",
         "closing",
         "paused",
         "stalled",
@@ -69,12 +71,11 @@ class _Connection:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.inbuf = bytearray()
+        #: Encoded answers not yet accepted by the socket, in request order.
         self.outbuf = bytearray()
-        #: Answered frames not yet moved to the outbuf, in request order.
-        self.pending: Deque[HandledFrame] = deque()
         #: True once the connection must be torn down after the outbuf drains.
         self.closing = False
-        #: True while reads are suspended for pipeline backpressure.
+        #: True while reads are suspended because the outbuf is full.
         self.paused = False
         #: True once a "stall" fault froze this connection's writes: the
         #: outbuf is never flushed again and the peer must time out.
@@ -103,8 +104,8 @@ class PublicationServer:
         picks a free port; read it back from :attr:`address` after
         :meth:`start`), connection cap (a connection beyond it immediately
         receives a typed ``ErrorResponse(code="ServerBusy")`` — overload,
-        never an unexplained hang), the encoded-response cache switch and the
-        per-connection pipelining cap.  Defaults to ``ServerConfig()``.
+        never an unexplained hang) and the encoded-response cache switch.
+        Defaults to ``ServerConfig()``.
     storage:
         Optional :class:`~repro.storage.store.PublicationStorage`: accepted
         update batches are write-ahead logged (and fsynced per the storage's
@@ -129,7 +130,6 @@ class PublicationServer:
         self.router = router
         self._requested = (config.host, config.port)
         self._max_connections = config.max_workers
-        self._max_pipelined = config.max_pipelined_frames
         self.storage = storage
         self.faults = faults
         self.handler = RequestHandler(
@@ -297,7 +297,7 @@ class PublicationServer:
             for connection in list(self._connections.values()):
                 if connection.sock not in self._connections or connection.stalled:
                     continue
-                self._flush_completed(connection)
+                self._flush_outbuf(connection)
                 if connection.sock in self._connections and connection.outbuf:
                     busy = True
             if not busy:
@@ -365,7 +365,7 @@ class PublicationServer:
         if mask & selectors.EVENT_READ and not connection.closing:
             self._read_ready(connection)
         if connection.sock in self._connections:
-            if connection.closing and not connection.outbuf and not connection.pending:
+            if connection.closing and not connection.outbuf:
                 self._drop_connection(connection)
             else:
                 self._reregister(connection)
@@ -386,23 +386,34 @@ class PublicationServer:
         connection.last_recv = time.monotonic()
         connection.inbuf += chunk
         self._parse_frames(connection)
+        self._flush_outbuf(connection)
 
     def _parse_frames(self, connection: _Connection) -> None:
+        """Answer the complete frames in the inbuf, pausing at the outbuf bound.
+
+        Callers follow it with :meth:`_flush_outbuf`, which sends what was
+        answered and resumes a pause the peer has already drained.
+        """
         inbuf = connection.inbuf
         offset = 0
         total = len(inbuf)
         while not connection.closing:
-            if len(connection.pending) >= self._max_pipelined:
-                connection.paused = True
-                break
+            if len(connection.outbuf) >= MAX_OUTBUF_BYTES:
+                self._send_outbuf(connection)
+                if connection.sock not in self._connections:
+                    return
+                if len(connection.outbuf) >= MAX_OUTBUF_BYTES:
+                    connection.paused = True
+                    break
             if total - offset < 4:
                 break
             length = int.from_bytes(inbuf[offset : offset + 4], "big")
             if length > MAX_FRAME_BYTES:
-                connection.pending.append(
+                self._respond(
+                    connection,
                     self._framing_error(
                         f"announced frame of {length} bytes exceeds the cap"
-                    )
+                    ),
                 )
                 break
             if total - offset - 4 < length:
@@ -410,10 +421,9 @@ class PublicationServer:
             with memoryview(inbuf) as view:
                 frame = bytes(view[offset + 4 : offset + 4 + length])
             offset += 4 + length
-            connection.pending.append(self.handler.handle_frame(frame))
+            self._respond(connection, self.handler.handle_frame(frame))
         if offset:
             del inbuf[:offset]
-        self._flush_completed(connection)
 
     def _framing_error(self, message: str) -> HandledFrame:
         payload = encode(
@@ -425,37 +435,40 @@ class PublicationServer:
 
     # -- response flushing ---------------------------------------------------
 
-    def _flush_completed(self, connection: _Connection) -> None:
-        pending = connection.pending
-        served = 0
-        errors = 0
-        while pending:
-            handled = pending.popleft()
-            connection.outbuf += len(handled.payload).to_bytes(4, "big")
-            connection.outbuf += handled.payload
+    def _respond(self, connection: _Connection, handled: HandledFrame) -> None:
+        """Append one answer to the connection's outbuf (answers stay in order)."""
+        connection.outbuf += len(handled.payload).to_bytes(4, "big")
+        connection.outbuf += handled.payload
+        with self._stats_lock:
             if handled.is_error:
-                errors += 1
+                self.errors_answered += 1
             else:
-                served += 1
-            if handled.close_after:
-                connection.closing = True
-                pending.clear()
-                break
-        if served or errors:
-            with self._stats_lock:
-                self.requests_served += served
-                self.errors_answered += errors
-        if connection.paused and len(pending) <= self._max_pipelined // 2:
+                self.requests_served += 1
+        if handled.close_after:
+            connection.closing = True
+
+    def _flush_outbuf(self, connection: _Connection) -> None:
+        """Send what the socket takes; resume a paused peer that drained to half.
+
+        Every flush passes the resume check, so a pause never outlives its
+        outbuf: whichever send drains it — even one right after the pause —
+        re-reads the socket and answers the frames already buffered.
+        """
+        while connection.sock in self._connections:
+            self._send_outbuf(connection)
+            if (
+                not connection.paused
+                or connection.sock not in self._connections
+                or len(connection.outbuf) > MAX_OUTBUF_BYTES // 2
+            ):
+                return
             connection.paused = False
-            # Frames may already be buffered past the pause point; any
-            # partial tail left after parsing starts a fresh stall window
+            # A partial tail left after parsing starts a fresh stall window
             # (the peer was not stalling while reads were suspended).
             connection.last_recv = time.monotonic()
             self._parse_frames(connection)
-        if connection.outbuf:
-            self._flush_outbuf(connection)
 
-    def _flush_outbuf(self, connection: _Connection) -> None:
+    def _send_outbuf(self, connection: _Connection) -> None:
         if connection.stalled:
             return
         outbuf = connection.outbuf
@@ -488,12 +501,7 @@ class PublicationServer:
         except OSError:
             self._drop_connection(connection)
             return
-        if (
-            connection.closing
-            and not outbuf
-            and not connection.pending
-            and connection.sock in self._connections
-        ):
+        if connection.closing and not outbuf and connection.sock in self._connections:
             self._drop_connection(connection)
 
     def _drop_connection(self, connection: _Connection) -> None:
@@ -510,8 +518,8 @@ class PublicationServer:
     def _sweep_stalled(self, now: float) -> None:
         for connection in list(self._connections.values()):
             # Only a frame cut off in the middle is bounded here (see
-            # protocol.MID_FRAME_STALL_SECONDS).  A connection paused for
-            # pipeline backpressure is making progress — its inbuf
+            # protocol.MID_FRAME_STALL_SECONDS).  A connection paused on a
+            # full outbuf is waiting for its peer to read — its inbuf
             # legitimately holds bytes while reads (and therefore
             # last_recv) are suspended.
             if connection.paused:

@@ -703,7 +703,6 @@ class StoredSignedRelation(SignedRelation):
         relation_name: str,
         manifest: RelationManifest,
         signature_scheme: SignatureScheme,
-        memoize: bool = True,
         cache_size: int = DEFAULT_RECORD_CACHE,
     ) -> None:
         if manifest.scheme != "chain":
@@ -718,10 +717,9 @@ class StoredSignedRelation(SignedRelation):
         self.hash_function = manifest.hash_function()
         self.scheme_kind = manifest.scheme_kind
         self.base = manifest.base
-        self.memoize = memoize
         self._signature_scheme = signature_scheme
         self.upper_scheme, self.lower_scheme = build_chain_schemes(
-            manifest.scheme_kind, self.domain, manifest.base, self.hash_function, memoize
+            manifest.scheme_kind, self.domain, manifest.base, self.hash_function
         )
         self._manifest = None
         self._store = store
@@ -934,7 +932,6 @@ def build_stored_chain(
     scheme_kind: str = "optimized",
     base: int = 2,
     hash_function: Optional[HashFunction] = None,
-    memoize: bool = False,
     batch_size: int = 512,
 ) -> int:
     """Stream ``rows`` (ascending by key) into a signed chain on disk.
@@ -948,7 +945,7 @@ def build_stored_chain(
     """
     hash_function = hash_function or default_hash()
     domain = schema.key_domain
-    upper, lower = build_chain_schemes(scheme_kind, domain, base, hash_function, memoize)
+    upper, lower = build_chain_schemes(scheme_kind, domain, base, hash_function)
     manifest = RelationManifest(
         schema=schema,
         scheme_kind=scheme_kind,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -33,6 +34,38 @@ def test_bounded_cache_counts_and_evicts():
     assert cache.get("a") is None
 
 
+def test_bounded_caches_keep_exact_fifo_order_across_many_evictions():
+    """Both bounded caches evict strictly oldest-first, however long they live.
+
+    Re-putting a present key moves it to the back of a :class:`BoundedCache`;
+    ``bounded_put`` memos only ever see fresh keys.
+    """
+    bound = 50
+    memo: OrderedDict = OrderedDict()
+    cache = BoundedCache(bound)
+    for index in range(10_000):
+        bounded_put(memo, index, index, bound)
+        cache.put(index, index)
+        if index % 7 == 0:
+            cache.put(index - 3, index)  # re-insert: moves to the back
+    assert list(memo) == list(range(10_000 - bound, 10_000))
+    assert cache.evictions > 10_000 - bound
+    expected = []
+    for index in range(10_000):  # replay the puts against a plain list
+        for key in ((index,) + ((index - 3,) if index % 7 == 0 else ())):
+            if key in expected:
+                expected.remove(key)
+            expected.append(key)
+            del expected[:-bound]
+    assert list(cache.keys()) == expected
+
+
+def test_bounded_put_lowered_bound_evicts_down_to_it():
+    memo: OrderedDict = OrderedDict((index, index) for index in range(10))
+    bounded_put(memo, "new", 0, 4)
+    assert list(memo) == [7, 8, 9, "new"]
+
+
 def test_bounded_put_is_safe_for_concurrent_evictions():
     """Threads evicting at once neither pop the same key twice nor overfill.
 
@@ -43,7 +76,7 @@ def test_bounded_put_is_safe_for_concurrent_evictions():
     (``KeyError``), iteration racing a resize (``RuntimeError``), and two
     threads inserting after one size check (one entry past the bound).
     """
-    cache: dict = {}
+    cache: OrderedDict = OrderedDict()
     bound = 64
     errors = []
     peak = [0]

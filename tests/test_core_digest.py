@@ -1,5 +1,7 @@
 """Unit tests for the conceptual and optimized chain digest schemes."""
 
+import hashlib
+
 import pytest
 
 from repro.core.digest import (
@@ -9,7 +11,7 @@ from repro.core.digest import (
     OptimizedChainScheme,
 )
 from repro.core.errors import CheatingAttemptError
-from repro.crypto.hashing import HASH_COUNTER
+from repro.crypto.hashing import HASH_COUNTER, resolve_hash_constructor
 
 
 DOMAIN_WIDTH = 1000
@@ -187,3 +189,61 @@ class TestOptimizedSpecifics:
         # And the proof is refused when value <= beta.
         with pytest.raises(CheatingAttemptError):
             scheme.boundary_proof(500, 500 - 1, delta_c)
+
+
+class TestHashAccounting:
+    """``HASH_COUNTER`` moves by exactly the number of SHA-256 digests computed.
+
+    The digest paths call the hash constructor directly and add their count
+    to the counter in one step; wrapping the constructor every path resolves
+    counts the digests independently of that bookkeeping.
+    """
+
+    @pytest.fixture
+    def sha256_calls(self, monkeypatch):
+        calls = [0]
+        real = hashlib.sha256
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        resolve_hash_constructor.cache_clear()
+        resolve_hash_constructor("sha256")  # its known-answer probe is not counted
+        yield calls
+        resolve_hash_constructor.cache_clear()
+
+    def _counted(self, calls, operation):
+        calls[0] = 0
+        HASH_COUNTER.reset()
+        result = operation()
+        assert calls[0] > 0
+        assert HASH_COUNTER.reset() == calls[0]
+        return result
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_counter_matches_constructor_calls(self, sha256_calls, base):
+        scheme = OptimizedChainScheme(DOMAIN_WIDTH, "upper", base=base)
+        value = 123
+        total = DOMAIN_WIDTH - value - 1
+        count = lambda operation: self._counted(sha256_calls, operation)  # noqa: E731
+        committed = count(lambda: scheme.commitment(value, total))
+        assist = count(lambda: scheme.entry_assist(value, total))
+        assert count(lambda: scheme.recompute_from_value(value, total, assist)) == committed
+        shapes = set()
+        for delta_c in range(0, total + 1, 7):
+            proof = count(lambda: scheme.boundary_proof(value, total, delta_c))
+            if proof.used_canonical in shapes:
+                continue
+            shapes.add(proof.used_canonical)
+            assert count(lambda: scheme.recompute_from_boundary(delta_c, proof)) == committed
+        assert shapes == {True, False}
+
+    def test_conceptual_counter_matches_constructor_calls(self, sha256_calls):
+        scheme = ConceptualChainScheme(DOMAIN_WIDTH, "upper")
+        committed = self._counted(sha256_calls, lambda: scheme.commitment(5, 994))
+        proof = self._counted(sha256_calls, lambda: scheme.boundary_proof(5, 994, 500))
+        assert self._counted(
+            sha256_calls, lambda: scheme.recompute_from_boundary(500, proof)
+        ) == committed

@@ -61,8 +61,6 @@ def test_server_config_validates_on_construction():
         ServerConfig(port=70_000)
     with pytest.raises(ValueError):
         ServerConfig(max_workers=0)
-    with pytest.raises(ValueError):
-        ServerConfig(max_pipelined_frames=0)
 
 
 def test_storage_config_validates_on_construction():

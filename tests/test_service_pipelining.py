@@ -121,19 +121,145 @@ def test_push_many_applies_all_batches_in_order(world, server):
         }
 
 
-def test_backpressure_pauses_and_resumes(world, monkeypatch):
-    """Floods beyond the pipeline cap are parked, not dropped or ballooned."""
-    from repro.service import server as server_module
+def _range_frames(world, count):
+    """``count`` encoded range-query frames over overlapping salary windows."""
+    from repro.service.protocol import QueryRequest, encode_frame
+    from repro.wire.codec import manifest_id
 
-    monkeypatch.setattr(server_module, "MAX_PIPELINED_FRAMES", 4)
+    identifier = manifest_id(world.manifests["employees"])
+    lows = range(10_000, 70_000, 500)
+    return [
+        encode_frame(
+            QueryRequest(
+                identifier,
+                Query(
+                    "employees",
+                    Conjunction((RangeCondition("salary", low, low + 20_000),)),
+                ),
+            )
+        )
+        for low in lows
+    ] * (count // len(lows))
+
+
+def test_backpressure_pauses_and_resumes(world, monkeypatch):
+    """A peer that pipelines without reading is parked at the outbuf bound.
+
+    The server stops reading the socket once the answers the peer has not
+    read reach ``MAX_OUTBUF_BYTES``, so the buffer holds at most the bound
+    plus one response frame and later frames wait unanswered.  Once the peer
+    reads, every answer arrives, in request order.
+    """
+    import socket as socket_module
+    import time
+
+    from repro.service import server as server_module
+    from repro.service.protocol import recv_frame
+
+    bound = 16 * 1024
+    monkeypatch.setattr(server_module, "MAX_OUTBUF_BYTES", bound)
+    frames = _range_frames(world, 360)
     with PublicationServer(world.router) as live:
         host, port = live.address
-        with VerifyingClient(
-            host, port, trusted_manifests=dict(world.manifests), timeout=60
-        ) as client:
-            results = client.query_many([SALARY_RANGE] * 20)
-            assert len(results) == 20
-            assert all(result.report is not None for result in results)
+        with socket_module.create_connection((host, port), timeout=30) as serial:
+            expected = []
+            for frame in frames:
+                serial.sendall(frame)
+                expected.append(recv_frame(serial))
+        largest_frame = 4 + max(len(payload) for payload in expected)
+        assert sum(map(len, expected)) > 40 * bound
+        served_before = live.requests_served
+
+        sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_STREAM)
+        sock.setsockopt(socket_module.SOL_SOCKET, socket_module.SO_RCVBUF, 4096)
+        sock.settimeout(30)
+        with sock:
+            sock.connect((host, port))
+
+            def serves_us(connection) -> bool:
+                try:
+                    return connection.sock.getpeername() == sock.getsockname()
+                except OSError:  # a connection the server just closed
+                    return False
+
+            deadline = time.monotonic() + 30
+            ours = []
+            while not ours:
+                assert time.monotonic() < deadline, "the server never accepted"
+                time.sleep(0.01)
+                ours = [c for c in list(live._connections.values()) if serves_us(c)]
+            (connection,) = ours
+            # Small kernel buffers on both ends, so the answers the peer does
+            # not read pile up in the server's outbuf rather than in the kernel.
+            connection.sock.setsockopt(
+                socket_module.SOL_SOCKET, socket_module.SO_SNDBUF, 4096
+            )
+            sock.sendall(b"".join(frames))
+            while not connection.paused:
+                assert time.monotonic() < deadline, "the connection never paused"
+                time.sleep(0.01)
+            peak = 0
+            for _ in range(30):  # the peer keeps not reading
+                peak = max(peak, len(connection.outbuf))
+                time.sleep(0.01)
+            assert connection.paused
+            assert bound <= peak <= bound + largest_frame
+            assert live.requests_served - served_before < len(frames)
+
+            answers = [recv_frame(sock) for _ in frames]
+        assert answers == expected
+        assert live.requests_served - served_before == len(frames)
+
+
+def test_pause_resumes_when_outbuf_drains_right_after_it(world, monkeypatch):
+    """A pause whose outbuf the peer drains before the loop turns still resumes.
+
+    The peer may read between the send that leaves the outbuf at the bound
+    and the next send, which then empties the outbuf while the connection is
+    paused.  Every send here alternates between finding the kernel buffer
+    full and taking everything, with a one-byte bound, so each answer pauses
+    the connection and the very next send drains it.  Every frame must still
+    be answered, in order.
+    """
+    import socket as socket_module
+
+    from repro.service import server as server_module
+    from repro.service.protocol import recv_frame
+
+    frames = _range_frames(world, 120)
+    with PublicationServer(world.router) as live:
+        host, port = live.address
+        with socket_module.create_connection((host, port), timeout=30) as serial:
+            expected = []
+            for frame in frames:
+                serial.sendall(frame)
+                expected.append(recv_frame(serial))
+        served_before = live.requests_served
+
+        class _FullEveryOtherSend(socket_module.socket):
+            refuse = False
+
+            def send(self, data, *flags):
+                self.refuse = not self.refuse
+                if self.refuse:
+                    raise BlockingIOError
+                return super().send(data, *flags)
+
+        accept = socket_module.socket.accept
+
+        def accept_flaky(listener):
+            sock, peer = accept(listener)
+            if listener is not live._listener:
+                return sock, peer
+            return _FullEveryOtherSend(fileno=sock.detach()), peer
+
+        monkeypatch.setattr(server_module, "MAX_OUTBUF_BYTES", 1)
+        monkeypatch.setattr(socket_module.socket, "accept", accept_flaky)
+        with socket_module.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"".join(frames))
+            answers = [recv_frame(sock) for _ in frames]
+        assert answers == expected
+        assert live.requests_served - served_before == len(frames)
 
 
 def test_mid_frame_stall_drops_connection(world, monkeypatch):
